@@ -28,10 +28,10 @@
 //! exits nonzero if the disabled path is more than PCT% slower.
 
 use hammertime_bench::step_loop::{
-    drive_t1_cell, drive_t1_cell_shadowed, fleet_sweep, fleet_sweep_durable, hammer_burst,
-    hammer_burst_bypassing_tracer, hammer_burst_wheel, hammer_burst_with_tracer, idle_mc,
-    idle_poll, idle_poll_on, replay_from_checkpoint, replay_from_scratch, resume_digest,
-    resume_setup, t1_defense_catalog, IDLE_QUANTUM,
+    drive_t1_cell, drive_t1_cell_shadowed, drive_t1_os_cell, fleet_sweep, fleet_sweep_durable,
+    hammer_burst, hammer_burst_bypassing_tracer, hammer_burst_wheel, hammer_burst_with_tracer,
+    idle_mc, idle_poll, idle_poll_on, replay_from_checkpoint, replay_from_scratch, resume_digest,
+    resume_setup, t1_defense_catalog, t1_os_defenses, IDLE_QUANTUM,
 };
 use hammertime_check::ShadowChecker;
 use hammertime_telemetry::Tracer;
@@ -243,6 +243,43 @@ fn main() {
             "t1_defense_matrix",
             "cells",
             cells,
+            reference,
+            fast,
+        ));
+    }
+
+    // T1's OS-defense cells: the benign machine under the software
+    // defenses whose interrupt service queues deep request bursts. The
+    // baseline drives the reference scan, the optimized side the event
+    // wheel; both must produce the same report before any timing.
+    if run("t1_os_defenses") {
+        let os_cells = t1_os_defenses();
+        for &d in &os_cells {
+            assert_eq!(
+                drive_t1_os_cell(d, true, quick),
+                drive_t1_os_cell(d, false, quick),
+                "cell {d} diverged between drivers"
+            );
+        }
+        let reference = time_best(reps, || {
+            for &d in &os_cells {
+                drive_t1_os_cell(d, false, quick);
+            }
+        });
+        let fast = time_best(reps, || {
+            for &d in &os_cells {
+                drive_t1_os_cell(d, true, quick);
+            }
+        });
+        eprintln!(
+            "t1_os_defenses: {} cells, ref {reference:.3}s wheel {fast:.3}s ({:.1}x)",
+            os_cells.len(),
+            reference / fast
+        );
+        scenarios.push(scenario(
+            "t1_os_defenses",
+            "cells",
+            os_cells.len() as u64,
             reference,
             fast,
         ));

@@ -6,6 +6,7 @@
 //! the same code paths: the memoized fast scheduler vs. the reference
 //! linear scan, and batched vs. per-ACT disturbance accounting.
 
+use hammertime::experiments::{benign_machine, run_to_completion, FAST_MAC};
 use hammertime::machine::{Machine, MachineConfig};
 use hammertime::taxonomy::DefenseKind;
 use hammertime_check::ShadowChecker;
@@ -386,6 +387,36 @@ pub fn drive_t1_cell_shadowed(
         mc.drain_reference();
     }
     (mc.now(), mc.drain_completions().len())
+}
+
+/// The OS-defense cells of T1: the software defenses whose ACT
+/// interrupt service queues deep request bursts (a remap's page copy,
+/// line locking, one load per victim row).
+pub fn t1_os_defenses() -> Vec<DefenseKind> {
+    DefenseKind::catalog(FAST_MAC)
+        .into_iter()
+        .filter(|d| {
+            matches!(
+                d,
+                DefenseKind::AggressorRemap
+                    | DefenseKind::LineLocking
+                    | DefenseKind::VictimRefreshConvoluted
+            )
+        })
+        .collect()
+}
+
+/// Drives T1's benign machine to completion under one OS-defense cell
+/// on the event wheel (`fast`) or the reference scan. Returns the
+/// report as JSON, byte-identical for both drivers, which is how the
+/// runner cross-checks itself before trusting the timings.
+pub fn drive_t1_os_cell(defense: DefenseKind, fast: bool, quick: bool) -> String {
+    let mut cfg = MachineConfig::fast(defense, FAST_MAC);
+    cfg.reference_scheduler = !fast;
+    let ops = if quick { 100 } else { 300 };
+    let mut m = benign_machine(cfg, ops).expect("benign machine builds");
+    run_to_completion(&mut m, 100);
+    serde_json::to_string(&m.report()).expect("report serializes")
 }
 
 #[cfg(test)]

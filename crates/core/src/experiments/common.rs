@@ -60,32 +60,48 @@ pub(crate) fn run_benign(defense: DefenseKind, mac: u64, ctx: CellCtx) -> Result
 /// Variant of [`run_benign`] that takes a pre-built config (used by
 /// the ablations that tweak controller knobs).
 pub(crate) fn run_benign_with(cfg: MachineConfig, quick: bool) -> Result<SimReport> {
+    let windows = if quick { 100 } else { 400 };
+    let mut m = benign_machine(cfg, accesses(quick) / 4)?;
+    run_to_completion(&mut m, windows);
+    Ok(m.report())
+}
+
+/// Builds the canonical three-tenant benign machine T1 measures every
+/// defense on: a stream tenant writing one line in eight, a uniform
+/// random tenant and a Zipf 0.99 tenant, `ops` operations each.
+///
+/// # Errors
+///
+/// Propagates machine construction and tenant placement errors.
+pub fn benign_machine(cfg: MachineConfig, ops: u64) -> Result<Machine> {
     use hammertime_common::DetRng;
     use hammertime_workloads::{RandomWorkload, StreamWorkload, ZipfianWorkload};
-    let windows = if quick { 100 } else { 400 };
-    let t_refw = cfg.timing.t_refw;
-    let n = accesses(quick) / 4;
     let mut m = Machine::new(cfg)?;
     let seed = m.config().seed;
     let a1 = m.add_tenant(DomainId(1), 2)?;
     let a2 = m.add_tenant(DomainId(2), 2)?;
     let a3 = m.add_tenant(DomainId(3), 2)?;
-    m.set_workload(DomainId(1), Box::new(StreamWorkload::new(a1, n, 8)))?;
+    m.set_workload(DomainId(1), Box::new(StreamWorkload::new(a1, ops, 8)))?;
     m.set_workload(
         DomainId(2),
-        Box::new(RandomWorkload::new(a2, n, 0.2, DetRng::new(seed ^ 2))),
+        Box::new(RandomWorkload::new(a2, ops, 0.2, DetRng::new(seed ^ 2))),
     )?;
     m.set_workload(
         DomainId(3),
-        Box::new(ZipfianWorkload::new(a3, n, 0.99, DetRng::new(seed ^ 3))),
+        Box::new(ZipfianWorkload::new(a3, ops, 0.99, DetRng::new(seed ^ 3))),
     )?;
-    // Run to completion (makespan), capped at the window budget so a
-    // throttled/broken configuration still terminates.
+    Ok(m)
+}
+
+/// Runs `m` one refresh window at a time until every tenant finished
+/// (makespan), capped at `windows` windows so a throttled or broken
+/// configuration still terminates.
+pub fn run_to_completion(m: &mut Machine, windows: u64) {
+    let t_refw = m.config().timing.t_refw;
     for _ in 0..windows {
         m.run(t_refw);
         if m.all_finished() {
             break;
         }
     }
-    Ok(m.report())
 }

@@ -34,7 +34,7 @@ mod f2;
 mod f3;
 mod t1;
 
-pub use common::FAST_MAC;
+pub use common::{benign_machine, run_to_completion, FAST_MAC};
 pub use engine::{
     run_budgeted, run_one, run_suite, run_suite_traced, silent, Cell, CellCtx, CellFailure,
     CellProgress, CellRows, FailureKind, FailureProgress, RunOptions, StepBudgetScope, SuiteReport,

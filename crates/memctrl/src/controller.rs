@@ -21,6 +21,7 @@
 
 use crate::act_counter::{ActCounterBlock, ActCounterConfig, ActInterrupt};
 use crate::addrmap::{AddressMap, MappingScheme};
+use crate::bank_queue::{BankQueue, Class, Handle};
 use crate::mitigation::{ActAction, McMitigation, McMitigationConfig};
 use crate::request::{Completion, MemRequest, RequestKind};
 use crate::stats::McStats;
@@ -35,6 +36,7 @@ use hammertime_dram::{BankTiming, DdrCommand, DramConfig, DramModule, DramStats,
 use hammertime_telemetry::{Event, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::{Index, IndexMut};
 
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,6 +131,89 @@ struct Pending {
     internal: bool,
 }
 
+impl Pending {
+    /// Where the request sits in its bank's index; `None` for a refresh
+    /// without auto-precharge whose ACT issued (it completes on the
+    /// next step and is never priced again).
+    fn class(&self) -> Option<Class> {
+        let row = self.coord.row;
+        match (self.req.kind, self.phase) {
+            (RequestKind::Read, _) => Some(Class::Demand { row, write: false }),
+            (RequestKind::Write, _) => Some(Class::Demand { row, write: true }),
+            (RequestKind::Refresh { .. }, Phase::Init) => Some(Class::Refresh { row }),
+            (RequestKind::Refresh { auto_pre }, Phase::Acted) => {
+                auto_pre.then_some(Class::ActedPre)
+            }
+            (RequestKind::RefNeighbors { .. }, _) => Some(Class::RefNeighbors),
+        }
+    }
+}
+
+/// Queued requests under stable handles: a request keeps its slot from
+/// submission to completion, and completed slots are reused.
+#[derive(Debug, Clone, Default)]
+struct RequestSlab {
+    slots: Vec<Option<Pending>>,
+    free: Vec<Handle>,
+}
+
+impl RequestSlab {
+    fn insert(&mut self, p: Pending) -> Handle {
+        match self.free.pop() {
+            Some(h) => {
+                self.slots[h as usize] = Some(p);
+                h
+            }
+            None => {
+                self.slots.push(Some(p));
+                self.span() - 1
+            }
+        }
+    }
+
+    fn remove(&mut self, h: Handle) -> Pending {
+        let p = self.slots[h as usize].take().expect("live request handle");
+        self.free.push(h);
+        p
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// One past the highest handle in use or free: the range a full
+    /// scan walks.
+    fn span(&self) -> Handle {
+        Handle::try_from(self.slots.len()).expect("queued requests fit a handle")
+    }
+
+    fn is_live(&self, h: Handle) -> bool {
+        self.slots[h as usize].is_some()
+    }
+}
+
+impl Index<Handle> for RequestSlab {
+    type Output = Pending;
+
+    fn index(&self, h: Handle) -> &Pending {
+        self.slots[h as usize]
+            .as_ref()
+            .expect("live request handle")
+    }
+}
+
+impl IndexMut<Handle> for RequestSlab {
+    fn index_mut(&mut self, h: Handle) -> &mut Pending {
+        self.slots[h as usize]
+            .as_mut()
+            .expect("live request handle")
+    }
+}
+
 /// The integrated memory controller.
 #[derive(Debug, Clone)]
 pub struct MemCtrl {
@@ -136,7 +221,7 @@ pub struct MemCtrl {
     map: AddressMap,
     dram: DramModule,
     now: Cycle,
-    queue: Vec<Pending>,
+    queue: RequestSlab,
     completions: Vec<Completion>,
     counters: ActCounterBlock,
     mitigation: McMitigation,
@@ -149,10 +234,11 @@ pub struct MemCtrl {
     data_bus_free: Vec<Cycle>,
     /// Throttled (bank, row) pairs: no ACT before the stored cycle.
     throttle: HashMap<(usize, u32), Cycle>,
-    /// Per-bank ready queues: indices into `queue`, keyed by flat bank.
-    /// The fast scheduler prices each bank's requests against a single
-    /// timing snapshot instead of probing the device per request.
-    by_bank: Vec<Vec<usize>>,
+    /// Per-bank request index, keyed by flat bank: queued handles
+    /// grouped by pricing class, so the fast scheduler prices a bank
+    /// from one timing snapshot and one candidate per class
+    /// ([`crate::bank_queue`]).
+    banks: Vec<BankQueue>,
     /// Memoized winner of the last scheduling query. Between mutations
     /// (submit/issue/complete/throttle) the candidate set is a pure
     /// function of controller state, and the clock only ever parks
@@ -166,9 +252,9 @@ pub struct MemCtrl {
     /// query reprices dirty banks and peeks the earliest live entry
     /// instead of rescanning every bank.
     wheel: EventWheel,
-    /// Queue index of a `Refresh { auto_pre: false }` whose ACT has
-    /// issued; it completes on the next step, before any other command.
-    acted_refresh: Option<usize>,
+    /// Handle of a `Refresh { auto_pre: false }` whose ACT has issued;
+    /// it completes on the next step, before any other command.
+    acted_refresh: Option<Handle>,
     /// Controller-side fault clock ([`MemCtrlConfig::faults`]).
     faults: Option<FaultClock>,
     /// ACT-interrupts held back by the delayed-delivery fault, released
@@ -256,7 +342,7 @@ impl MemCtrl {
             map,
             dram,
             now: Cycle::ZERO,
-            queue: Vec::new(),
+            queue: RequestSlab::default(),
             completions: Vec::new(),
             counters,
             mitigation,
@@ -264,7 +350,7 @@ impl MemCtrl {
             cmd_bus_free: vec![Cycle::ZERO; g.channels as usize],
             data_bus_free: vec![Cycle::ZERO; g.channels as usize],
             throttle: HashMap::new(),
-            by_bank: vec![Vec::new(); g.total_banks() as usize],
+            banks: vec![BankQueue::default(); g.total_banks() as usize],
             sched_cache: None,
             wheel: EventWheel::new(g.total_banks() as usize),
             acted_refresh: None,
@@ -478,17 +564,16 @@ impl MemCtrl {
             }
             out.push(intr);
         }
-        if !self.delayed_interrupts.is_empty() {
-            let now = self.now;
-            let mut i = 0;
-            while i < self.delayed_interrupts.len() {
-                if self.delayed_interrupts[i].time <= now {
-                    out.push(self.delayed_interrupts.remove(i));
-                } else {
-                    i += 1;
-                }
+        // Release every due delayed interrupt in one order-keeping pass.
+        let now = self.now;
+        self.delayed_interrupts.retain(|intr| {
+            if intr.time <= now {
+                out.push(*intr);
+                false
+            } else {
+                true
             }
-        }
+        });
         out
     }
 
@@ -633,8 +718,7 @@ impl MemCtrl {
         self.sched_cache = None;
         let flat = bank.flat(self.map.geometry());
         self.wheel.mark_bank(flat);
-        self.by_bank[flat].push(self.queue.len());
-        self.queue.push(Pending {
+        let p = Pending {
             bank,
             req,
             seq,
@@ -642,7 +726,20 @@ impl MemCtrl {
             phase: Phase::Init,
             had_miss: false,
             internal,
-        });
+        };
+        let (arrival, class) = (
+            p.req.arrival,
+            p.class().expect("fresh requests are indexed"),
+        );
+        let h = self.queue.insert(p);
+        let floor = self.floor(bank.channel);
+        self.banks[flat].insert(h, seq, arrival, class, floor);
+    }
+
+    /// The pricing floor every request command on `channel` sits at or
+    /// above: the command bus and the clock, both monotone.
+    fn floor(&self, channel: u32) -> Cycle {
+        self.cmd_bus_free[channel as usize].max(self.now)
     }
 
     /// Host-privileged refresh instruction (§4.3): refresh the row
@@ -868,8 +965,8 @@ impl MemCtrl {
         }
     }
 
-    fn candidate_for(&self, index: usize) -> Option<Candidate> {
-        let p = &self.queue[index];
+    fn candidate_for(&self, handle: Handle) -> Option<Candidate> {
+        let p = &self.queue[handle];
         let cmd = self.next_cmd(p)?;
         let ch = cmd.channel() as usize;
         let at = self
@@ -878,15 +975,15 @@ impl MemCtrl {
             .max(p.req.arrival)
             .max(self.cmd_bus_free[ch])
             .max(self.now);
-        self.finish_candidate(index, cmd, at)
+        self.finish_candidate(handle, cmd, at)
     }
 
     /// [`MemCtrl::candidate_for`] with the device probe replaced by a
     /// per-bank timing snapshot: `bt` carries the earliest legal cycle
     /// of every command class for this request's bank, so pricing a
-    /// whole bank's ready queue costs one probe total.
-    fn candidate_from_snapshot(&self, index: usize, bt: &BankTiming) -> Option<Candidate> {
-        let p = &self.queue[index];
+    /// whole bank costs one probe total.
+    fn candidate_from_snapshot(&self, handle: Handle, bt: &BankTiming) -> Option<Candidate> {
+        let p = &self.queue[handle];
         let cmd = self.next_cmd_given(p, bt.open_row)?;
         let class_at = match cmd {
             DdrCommand::Act { .. } => bt.act,
@@ -902,16 +999,21 @@ impl MemCtrl {
             .max(p.req.arrival)
             .max(self.cmd_bus_free[ch])
             .max(self.now);
-        self.finish_candidate(index, cmd, at)
+        self.finish_candidate(handle, cmd, at)
     }
 
     /// Shared tail of candidate pricing: throttle blacklist, data-bus
     /// occupancy, and priority class.
-    fn finish_candidate(&self, index: usize, cmd: DdrCommand, mut at: Cycle) -> Option<Candidate> {
+    fn finish_candidate(
+        &self,
+        handle: Handle,
+        cmd: DdrCommand,
+        mut at: Cycle,
+    ) -> Option<Candidate> {
         if at == Cycle::MAX {
             return None;
         }
-        let p = &self.queue[index];
+        let p = &self.queue[handle];
         let timing = self.dram.config().timing;
         let ch = cmd.channel() as usize;
         // Throttle map: blacklisted ACTs wait.
@@ -955,7 +1057,7 @@ impl MemCtrl {
             issue_at: at,
             priority,
             seq: p.seq,
-            kind: CandidateKind::Request { index, cmd },
+            kind: CandidateKind::Request { handle, cmd },
         })
     }
 
@@ -1125,34 +1227,72 @@ impl MemCtrl {
         }
     }
 
-    /// Prices one bank's ready queue against a single timing snapshot:
-    /// the bank's best candidate, or `None` when it has no issuable
-    /// work (empty, or parked behind a forced refresh of its rank).
-    fn bank_candidate(&self, b: usize) -> Option<Candidate> {
-        let list = &self.by_bank[b];
-        let &first = list.first()?;
-        let bank_id = self.queue[first].bank;
-        let floor = self.cmd_bus_free[bank_id.channel as usize].max(self.now);
+    /// Prices one bank's queue against a single timing snapshot: the
+    /// bank's best candidate, or `None` when it has no issuable work
+    /// (empty, or parked behind a forced refresh of its rank).
+    ///
+    /// Every admitted request of a pricing class issues at the same
+    /// `(issue_at, priority)` under the snapshot, so only each class's
+    /// oldest member is priced ([`crate::bank_queue`]): the cost is
+    /// O(classes), not O(queued requests). Throttled rows are the one
+    /// class that splits by row; their heads are priced oldest first
+    /// until the first unthrottled row, which nothing younger beats.
+    fn bank_candidate(&mut self, b: usize) -> Option<Candidate> {
+        let bank_id = self.queue[self.banks[b].any()?].bank;
+        let floor = self.floor(bank_id.channel);
+        self.banks[b].admit(floor);
+        let q = &self.banks[b];
         let bt = self.dram.bank_timing(&bank_id);
+        let unthrottled = |row: u32| !self.throttle.contains_key(&(b, row));
         let mut best: Option<Candidate> = None;
-        for &i in list {
-            // Per-request pruning must be strict (`>`): an equal-time
-            // candidate can still win on priority.
-            let lb = floor.max(self.queue[i].req.arrival);
-            if best.as_ref().is_some_and(|b| lb > b.issue_at) {
-                continue;
+        match bt.open_row {
+            Some(open) => {
+                for cas in q.cas_heads(open) {
+                    self.offer(&mut best, cas, &bt);
+                }
+                let other_row = q.row_heads(false).find(|&(row, _)| row != open);
+                self.offer(&mut best, other_row.map(|(_, h)| h), &bt);
+                let refresh = q.row_heads(true).next();
+                self.offer(&mut best, refresh.map(|(_, h)| h), &bt);
             }
-            // `None` here is a request parked behind a forced refresh
-            // of its rank (the acted-refresh completion case is
-            // intercepted in `run_until` before the query).
-            let Some(c) = self.candidate_from_snapshot(i, &bt) else {
-                continue;
-            };
-            if best.as_ref().is_none_or(|b| better(&c, b)) {
-                best = Some(c);
+            None => {
+                for refresh in [false, true] {
+                    for (row, h) in q.row_heads(refresh) {
+                        self.offer(&mut best, Some(h), &bt);
+                        if unthrottled(row) {
+                            break;
+                        }
+                    }
+                }
             }
         }
+        for maintenance in q.maintenance_heads() {
+            self.offer(&mut best, maintenance, &bt);
+        }
+        // Requests still short of their arrival price at it: walk them
+        // in arrival order until an arrival can no longer beat the best
+        // (strict `>`: an equal-time candidate can still win on
+        // priority).
+        for (arrival, h) in q.pending() {
+            if best.as_ref().is_some_and(|b| arrival > b.issue_at) {
+                break;
+            }
+            self.offer(&mut best, Some(h), &bt);
+        }
         best
+    }
+
+    /// Prices request `h` (if any) against the bank snapshot and keeps
+    /// it in `best` when it wins. `None` from pricing is a request
+    /// parked behind a forced refresh of its rank (the acted-refresh
+    /// completion case is intercepted in `run_until` before the query).
+    fn offer(&self, best: &mut Option<Candidate>, h: Option<Handle>, bt: &BankTiming) {
+        let Some(c) = h.and_then(|h| self.candidate_from_snapshot(h, bt)) else {
+            return;
+        };
+        if best.as_ref().is_none_or(|b| better(&c, b)) {
+            *best = Some(c);
+        }
     }
 
     /// The pre-optimization scheduler: one linear FR-FCFS scan over
@@ -1175,7 +1315,10 @@ impl MemCtrl {
                 }
             }
         }
-        for i in 0..self.queue.len() {
+        for i in 0..self.queue.span() {
+            if !self.queue.is_live(i) {
+                continue;
+            }
             if let Some(c) = self.candidate_for(i) {
                 if best.as_ref().is_none_or(|b| better(&c, b)) {
                     best = Some(c);
@@ -1273,11 +1416,13 @@ impl MemCtrl {
                 }
                 true
             }
-            CandidateKind::Request { index, cmd } => self.issue_request_cmd(index, cmd, c.issue_at),
+            CandidateKind::Request { handle, cmd } => {
+                self.issue_request_cmd(handle, cmd, c.issue_at)
+            }
         }
     }
 
-    fn issue_request_cmd(&mut self, index: usize, cmd: DdrCommand, at: Cycle) -> bool {
+    fn issue_request_cmd(&mut self, index: Handle, cmd: DdrCommand, at: Cycle) -> bool {
         let g = *self.map.geometry();
         // Throttling decision happens at the moment an ACT would issue.
         if let DdrCommand::Act { bank, row } = cmd {
@@ -1332,14 +1477,23 @@ impl MemCtrl {
         match cmd {
             DdrCommand::Act { bank, row } => {
                 p.had_miss = true;
-                if let RequestKind::Refresh { auto_pre } = p.req.kind {
+                if matches!(p.req.kind, RequestKind::Refresh { .. }) {
+                    // Only the closing PRE is left, if any: re-index
+                    // the request out of its bank's refresh-ACT class.
+                    let old = p.class().expect("unacted refresh is indexed");
                     p.phase = Phase::Acted;
-                    if !auto_pre {
+                    let (seq, arrival, new) = (p.seq, p.req.arrival, p.class());
+                    let floor = self.floor(bank.channel);
+                    let q = &mut self.banks[bank.flat(&g)];
+                    q.remove(seq, arrival, old);
+                    match new {
+                        Some(class) => q.insert(index, seq, arrival, class, floor),
                         // Completes on the next step, before any other
                         // command (see `step`).
-                        self.acted_refresh = Some(index);
+                        None => self.acted_refresh = Some(index),
                     }
                 }
+                let p = &self.queue[index];
                 let is_demand = !p.req.kind.is_maintenance();
                 let line = p.req.line;
                 let domain = p.req.domain;
@@ -1446,38 +1600,17 @@ impl MemCtrl {
         self.push_pending(req, coord, true);
     }
 
-    fn complete(&mut self, index: usize, done: Cycle) {
+    fn complete(&mut self, handle: Handle, done: Cycle) {
         self.sched_cache = None;
-        let g = *self.map.geometry();
-        let last = self.queue.len() - 1;
-        // Keep the per-bank lists and the acted-refresh pointer in sync
-        // with the swap_remove below: `index` leaves, `last` moves to
-        // `index`.
-        let flat = self.queue[index].bank.flat(&g);
+        let p = self.queue.remove(handle);
+        let flat = p.bank.flat(self.map.geometry());
         self.wheel.mark_bank(flat);
-        let list = &mut self.by_bank[flat];
-        let pos = list
-            .iter()
-            .position(|&i| i == index)
-            .expect("queued request tracked in its bank list");
-        list.swap_remove(pos);
-        if index != last {
-            // The moved request's queue index changes, invalidating any
-            // cached candidate that captured it.
-            let moved_flat = self.queue[last].bank.flat(&g);
-            self.wheel.mark_bank(moved_flat);
-            for slot in &mut self.by_bank[moved_flat] {
-                if *slot == last {
-                    *slot = index;
-                }
-            }
+        if let Some(class) = p.class() {
+            self.banks[flat].remove(p.seq, p.req.arrival, class);
         }
-        match self.acted_refresh {
-            Some(i) if i == index => self.acted_refresh = None,
-            Some(i) if i == last => self.acted_refresh = Some(index),
-            _ => {}
+        if self.acted_refresh == Some(handle) {
+            self.acted_refresh = None;
         }
-        let p = self.queue.swap_remove(index);
         match p.req.kind {
             RequestKind::Read => {
                 self.stats.reads += 1;
@@ -1999,6 +2132,43 @@ mod tests {
             assert!(int.time > raised_by);
             assert!(int.time <= m.now());
         }
+    }
+
+    #[test]
+    fn delayed_interrupt_storm_releases_due_interrupts_in_raise_order() {
+        let mut cfg = MemCtrlConfig::baseline();
+        cfg.act_counters = ActCounterConfig::precise(2);
+        cfg.act_counters.randomize_reset_window = 0;
+        let mut plan = FaultPlan::none();
+        plan.delayed_interrupt = 1.0;
+        plan.interrupt_delay = 5_000;
+        cfg.faults = Some(plan);
+        let mut m = mc(cfg, 1_000_000);
+        hammer_two_rows(&mut m, 200);
+        let first = m.drain_interrupts();
+        let held = m.delayed_interrupts.len();
+        assert!(held > 20, "the storm must leave interrupts held: {held}");
+        // Release the held interrupts in two batches: each batch holds
+        // exactly the due ones, in the order they were raised.
+        let mid = m.delayed_interrupts[held / 2].time;
+        m.advance_to(mid);
+        let early = m.drain_interrupts();
+        m.advance_to(Cycle(m.now().raw() + 10_000));
+        let late = m.drain_interrupts();
+        assert!(early.iter().all(|i| i.time <= mid));
+        assert!(late.iter().all(|i| i.time > mid));
+        let released: Vec<Cycle> = first
+            .iter()
+            .chain(&early)
+            .chain(&late)
+            .map(|i| i.time)
+            .collect();
+        assert_eq!(released.len(), first.len() + held);
+        assert!(
+            released.windows(2).all(|w| w[0] <= w[1]),
+            "release order broke"
+        );
+        assert!(m.delayed_interrupts.is_empty());
     }
 
     #[test]

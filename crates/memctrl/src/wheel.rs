@@ -59,8 +59,8 @@ pub(crate) enum CandidateKind {
         rank: u32,
         need_pre: bool,
     },
-    /// Next command for queued request at `queue` index.
-    Request { index: usize, cmd: DdrCommand },
+    /// Next command for the queued request with this handle.
+    Request { handle: u32, cmd: DdrCommand },
 }
 
 /// FR-FCFS comparison: earliest issue first, then priority class, then

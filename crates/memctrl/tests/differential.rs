@@ -10,7 +10,7 @@
 //! (including `sched_steps`, so the drivers take the *same number* of
 //! scheduling decisions), and the final clock.
 
-use hammertime_common::{CacheLineAddr, Cycle, DomainId, RequestSource};
+use hammertime_common::{CacheLineAddr, Cycle, DetRng, DomainId, DramCoord, RequestSource};
 use hammertime_dram::disturb::FlipEvent;
 use hammertime_dram::{DramConfig, DramStats, TrrConfig};
 use hammertime_memctrl::request::{Completion, MemRequest, RequestKind};
@@ -176,6 +176,110 @@ proptest! {
         };
         let got = run_script(fast, &ops, true);
         let want = run_script(reference, &ops, false);
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// One deep burst: `(requests, rows, seed, gap)`. `requests` (64–512)
+/// land in bank 0 at one instant, spread over `rows` rows; `seed`
+/// drives the per-request mix and `gap` how far the clock moves before
+/// the next burst.
+type Burst = (u16, u8, u64, u64);
+
+/// Drives deep single-bank bursts: Rd and Wr over a few rows (a quarter
+/// of them arriving up to 400 cycles in the future), plus refresh
+/// instructions with and without auto-precharge and REF_NEIGHBORS. This
+/// is the queue shape software defenses create (a remap's copy burst, a
+/// convoluted refresh's victim loads), where per-bank pricing has
+/// hundreds of requests to choose from instead of a handful.
+fn run_bursts(mut mc: MemCtrl, bursts: &[Burst], fast: bool) -> Observed {
+    let g = *mc.map().geometry();
+    let mut id = 0u64;
+    for (b, &(requests, rows, seed, gap)) in bursts.iter().enumerate() {
+        let mut rng = DetRng::new(seed);
+        let base = rng.below(u64::from(g.rows_per_bank())) as u32;
+        let rows: Vec<u32> = (0..u32::from(rows))
+            .map(|i| (base + 3 * i) % g.rows_per_bank())
+            .collect();
+        for _ in 0..requests {
+            let coord = DramCoord {
+                channel: 0,
+                rank: 0,
+                bank_group: 0,
+                bank: 0,
+                row: rows[rng.below(rows.len() as u64) as usize],
+                col: rng.below(u64::from(g.columns)) as u32,
+            };
+            let line = mc.map().to_line(&coord).unwrap();
+            id += 1;
+            let result = match rng.below(16) {
+                0 => mc.refresh_row(id, line, true),
+                1 => mc.refresh_row(id, line, false),
+                2 => mc.ref_neighbors(id, line, 1),
+                k => mc.submit(MemRequest {
+                    id,
+                    line,
+                    kind: if k % 2 == 0 {
+                        RequestKind::Write
+                    } else {
+                        RequestKind::Read
+                    },
+                    source: RequestSource::Core(0),
+                    domain: DomainId(1),
+                    arrival: if k < 7 {
+                        Cycle(mc.now().raw() + rng.below(400))
+                    } else {
+                        mc.now()
+                    },
+                }),
+            };
+            drop(result);
+        }
+        let target = Cycle(mc.now().raw() + gap);
+        match (b % 2 == 0, fast) {
+            (true, true) => mc.advance_to(target),
+            (true, false) => mc.advance_to_reference(target),
+            (false, true) => {
+                mc.run_while_busy(target);
+            }
+            (false, false) => {
+                mc.run_while_busy_reference(target);
+            }
+        }
+    }
+    if fast {
+        mc.drain();
+    } else {
+        mc.drain_reference();
+    }
+    Observed {
+        now: mc.now(),
+        completions: mc.drain_completions(),
+        flips: mc.drain_flips(),
+        stats: mc.stats(),
+        dram_stats: mc.dram_stats(),
+    }
+}
+
+proptest! {
+    /// Deep single-bank bursts under every mitigation (BlockHammer's
+    /// throttle splits the ACT class by row) and both page policies:
+    /// the class-indexed wheel must match the reference scan exactly,
+    /// `sched_steps` included.
+    #[test]
+    fn deep_bank_bursts_match_reference(
+        bursts in prop::collection::vec((64u16..513, 2u8..5, any::<u64>(), 0u64..3_000), 1..4),
+        mitigation in arb_mitigation(),
+        closed_page in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let policy = if closed_page { PagePolicy::Closed } else { PagePolicy::Open };
+        let Some((fast, reference)) = make_pair(mitigation, policy, true, false, 24, seed) else {
+            return Ok(());
+        };
+        let got = run_bursts(fast, &bursts, true);
+        let want = run_bursts(reference, &bursts, false);
+        prop_assert!(got.stats.reads + got.stats.writes > 0);
         prop_assert_eq!(got, want);
     }
 }

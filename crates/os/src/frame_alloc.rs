@@ -52,6 +52,78 @@ fn catt_kernel_stripes(map: &AddressMap) -> u32 {
     (map.geometry().rows_per_bank() / 8).max(1)
 }
 
+/// [`StripeIndex::stripe_of`] entry of a frame the map forms no row
+/// stripe for.
+const NO_STRIPE: u32 = u32::MAX;
+
+/// Allocated frames per row stripe, counted by owning domain (no zero
+/// counts, no empty stripes).
+type StripeOwners = BTreeMap<u32, Vec<(DomainId, u32)>>;
+
+/// Row-stripe bookkeeping behind [`FrameAllocator::alloc_isolated`]:
+/// built by its first call and kept current by every ownership change
+/// after that, so an allocator that never migrates a page never pays
+/// for it, and one that does never rebuilds it.
+#[derive(Debug, Clone)]
+struct StripeIndex {
+    /// Row stripe of every frame ([`NO_STRIPE`] where there is none).
+    stripe_of: Vec<u32>,
+    owners: StripeOwners,
+}
+
+impl StripeIndex {
+    fn build(map: &AddressMap, owner: &HashMap<u64, DomainId>) -> StripeIndex {
+        let stripe_of = (0..map.geometry().total_frames())
+            .map(|f| map.row_stripe_of_frame(f).unwrap_or(NO_STRIPE))
+            .collect();
+        let mut index = StripeIndex {
+            stripe_of,
+            owners: BTreeMap::new(),
+        };
+        for (&frame, &domain) in owner {
+            index.count(frame, domain, true);
+        }
+        index
+    }
+
+    fn stripe(&self, frame: u64) -> Option<u32> {
+        let s = *self.stripe_of.get(frame as usize)?;
+        (s != NO_STRIPE).then_some(s)
+    }
+
+    /// Adds (`up`) or removes one frame of `domain` at `frame`'s stripe.
+    fn count(&mut self, frame: u64, domain: DomainId, up: bool) {
+        let Some(stripe) = self.stripe(frame) else {
+            return;
+        };
+        let owners = self.owners.entry(stripe).or_default();
+        match owners.iter().position(|&(d, _)| d == domain) {
+            Some(i) if up => owners[i].1 += 1,
+            Some(i) => {
+                owners[i].1 -= 1;
+                if owners[i].1 == 0 {
+                    owners.swap_remove(i);
+                    if owners.is_empty() {
+                        self.owners.remove(&stripe);
+                    }
+                }
+            }
+            None => {
+                debug_assert!(up, "uncounted frame {frame} of {domain}");
+                owners.push((domain, 1));
+            }
+        }
+    }
+
+    /// Whether any stripe in `lo..=hi` holds a frame owned by a domain
+    /// other than `domain`.
+    fn foreign_in(&self, domain: DomainId, lo: u32, hi: u32) -> bool {
+        self.owners
+            .range(lo..=hi)
+            .any(|(_, owners)| owners.iter().any(|&(d, _)| d != domain))
+    }
+}
+
 /// The host OS physical frame allocator.
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
@@ -59,6 +131,8 @@ pub struct FrameAllocator {
     map: AddressMap,
     free: BTreeSet<u64>,
     owner: HashMap<u64, DomainId>,
+    /// `None` until the first [`FrameAllocator::alloc_isolated`].
+    stripes: Option<StripeIndex>,
     /// SubarrayGroup: domain → group; BankPartition: domain → flat bank.
     domain_region: HashMap<DomainId, u32>,
     /// ZebramGuard: row stripe → owning domain (while any frame of the
@@ -113,6 +187,7 @@ impl FrameAllocator {
             map,
             free,
             owner: HashMap::new(),
+            stripes: None,
             domain_region: HashMap::new(),
             stripe_owner: BTreeMap::new(),
             guard_stripes: BTreeSet::new(),
@@ -244,8 +319,16 @@ impl FrameAllocator {
             self.claim_stripe_with_guards(frame, domain, radius)?;
         }
         self.free.remove(&frame);
-        self.owner.insert(frame, domain);
+        self.take(frame, domain);
         Ok(frame)
+    }
+
+    /// Records `domain` as the owner of the (no longer free) `frame`.
+    fn take(&mut self, frame: u64, domain: DomainId) {
+        self.owner.insert(frame, domain);
+        if let Some(stripes) = &mut self.stripes {
+            stripes.count(frame, domain, true);
+        }
     }
 
     /// The last valid row stripe (stripes are in-bank rows).
@@ -338,27 +421,22 @@ impl FrameAllocator {
         if !self.domain_region.contains_key(&domain) {
             return Err(Error::Config(format!("{domain} not registered")));
         }
-        // Precompute foreign-owned stripes once.
-        let mut foreign_stripes = BTreeSet::new();
-        for (&frame, &owner) in &self.owner {
-            if owner != domain {
-                if let Ok(s) = self.map.row_stripe_of_frame(frame) {
-                    foreign_stripes.insert(s);
-                }
-            }
-        }
+        let max_stripe = self.max_stripe();
+        let stripes = self
+            .stripes
+            .get_or_insert_with(|| StripeIndex::build(&self.map, &self.owner));
         let candidate = self.free.iter().copied().find(|&f| {
-            let Ok(stripe) = self.map.row_stripe_of_frame(f) else {
+            let Some(stripe) = stripes.stripe(f) else {
                 return false;
             };
             let lo = stripe.saturating_sub(radius);
-            let hi = (stripe + radius).min(self.max_stripe());
-            foreign_stripes.range(lo..=hi).next().is_none()
+            let hi = (stripe + radius).min(max_stripe);
+            !stripes.foreign_in(domain, lo, hi)
         });
         match candidate {
             Some(f) => {
                 self.free.remove(&f);
-                self.owner.insert(f, domain);
+                self.take(f, domain);
                 Ok(f)
             }
             None => self.alloc(domain),
@@ -371,8 +449,11 @@ impl FrameAllocator {
     ///
     /// [`Error::Config`] if the frame is not allocated.
     pub fn release(&mut self, frame: u64) -> Result<()> {
-        if self.owner.remove(&frame).is_none() {
+        let Some(domain) = self.owner.remove(&frame) else {
             return Err(Error::Config(format!("frame {frame} not allocated")));
+        };
+        if let Some(stripes) = &mut self.stripes {
+            stripes.count(frame, domain, false);
         }
         self.free.insert(frame);
         Ok(())
@@ -392,13 +473,15 @@ impl FrameAllocator {
     ///
     /// [`Error::Config`] if the frame is not allocated.
     pub fn reassign(&mut self, frame: u64, to: DomainId) -> Result<()> {
-        match self.owner.get_mut(&frame) {
-            Some(owner) => {
-                *owner = to;
-                Ok(())
-            }
-            None => Err(Error::Config(format!("frame {frame} not allocated"))),
+        let Some(owner) = self.owner.get_mut(&frame) else {
+            return Err(Error::Config(format!("frame {frame} not allocated")));
+        };
+        let from = std::mem::replace(owner, to);
+        if let Some(stripes) = &mut self.stripes {
+            stripes.count(frame, from, false);
+            stripes.count(frame, to, true);
         }
+        Ok(())
     }
 
     /// All frames currently owned by `domain`.
@@ -754,6 +837,117 @@ mod tests {
                 "domain-guard violations: {:?}",
                 violations
             );
+        }
+    }
+
+    impl FrameAllocator {
+        /// The allocator's former `alloc_isolated`, kept as the oracle
+        /// for the incremental one: it rebuilds the foreign-stripe set
+        /// from every owned frame on each call.
+        fn alloc_isolated_recompute(&mut self, domain: DomainId, radius: u32) -> Result<u64> {
+            if !self.domain_region.contains_key(&domain) {
+                return Err(Error::Config(format!("{domain} not registered")));
+            }
+            // Precompute foreign-owned stripes once.
+            let mut foreign_stripes = BTreeSet::new();
+            for (&frame, &owner) in &self.owner {
+                if owner != domain {
+                    if let Ok(s) = self.map.row_stripe_of_frame(frame) {
+                        foreign_stripes.insert(s);
+                    }
+                }
+            }
+            let candidate = self.free.iter().copied().find(|&f| {
+                let Ok(stripe) = self.map.row_stripe_of_frame(f) else {
+                    return false;
+                };
+                let lo = stripe.saturating_sub(radius);
+                let hi = (stripe + radius).min(self.max_stripe());
+                foreign_stripes.range(lo..=hi).next().is_none()
+            });
+            match candidate {
+                Some(f) => {
+                    self.free.remove(&f);
+                    self.owner.insert(f, domain);
+                    Ok(f)
+                }
+                None => self.alloc(domain),
+            }
+        }
+
+        /// The incremental stripe counts next to a rebuild from the
+        /// owner map, both in one normalized order (`None` before the
+        /// first `alloc_isolated`).
+        fn stripe_counts_and_recount(&self) -> Option<[StripeOwners; 2]> {
+            let live = self.stripes.as_ref()?;
+            let rebuilt = StripeIndex::build(&self.map, &self.owner);
+            Some([live.owners.clone(), rebuilt.owners].map(|mut counts| {
+                counts
+                    .values_mut()
+                    .for_each(|owners| owners.sort_unstable());
+                counts
+            }))
+        }
+    }
+
+    proptest::proptest! {
+        /// Random alloc / release / reassign / alloc_isolated sequences
+        /// under every placement policy: the incremental allocator picks
+        /// exactly the frame the recomputing oracle picks, and its
+        /// stripe counts always equal a rebuild from scratch.
+        #[test]
+        fn incremental_alloc_isolated_matches_recompute(
+            policy in 0u8..5,
+            ops in proptest::prop::collection::vec((0u8..4, 0u64..1024, 1u32..4), 1..48),
+        ) {
+            let (policy, scheme) = match policy {
+                0 => (PlacementPolicy::Default, MappingScheme::CacheLineInterleave),
+                1 => (PlacementPolicy::SubarrayGroup, MappingScheme::SubarrayIsolated),
+                2 => (PlacementPolicy::BankPartition, MappingScheme::BankPartition),
+                3 => (
+                    PlacementPolicy::ZebramGuard { radius: 1 },
+                    MappingScheme::CacheLineInterleave,
+                ),
+                _ => (
+                    PlacementPolicy::CattPartition { radius: 1 },
+                    MappingScheme::CacheLineInterleave,
+                ),
+            };
+            let domains = [DomainId(1), DomainId(2), DomainId::HOST];
+            let mut inc = FrameAllocator::new(policy, map(scheme)).unwrap();
+            for d in domains {
+                inc.register_domain(d).unwrap();
+            }
+            let mut oracle = inc.clone();
+            for (op, pick, radius) in ops {
+                let d = domains[(pick % 3) as usize];
+                let mut owned: Vec<u64> = inc.owner.keys().copied().collect();
+                owned.sort_unstable();
+                let victim = (!owned.is_empty()).then(|| owned[pick as usize % owned.len()]);
+                match (op, victim) {
+                    (0, _) => proptest::prop_assert_eq!(inc.alloc(d).ok(), oracle.alloc(d).ok()),
+                    (1, Some(f)) => {
+                        inc.release(f).unwrap();
+                        oracle.release(f).unwrap();
+                    }
+                    (2, Some(f)) => {
+                        inc.reassign(f, d).unwrap();
+                        oracle.reassign(f, d).unwrap();
+                    }
+                    (1 | 2, None) => {}
+                    _ => proptest::prop_assert_eq!(
+                        inc.alloc_isolated(d, radius).ok(),
+                        oracle.alloc_isolated_recompute(d, radius).ok()
+                    ),
+                }
+                if let Some([live, rebuilt]) = inc.stripe_counts_and_recount() {
+                    proptest::prop_assert_eq!(live, rebuilt);
+                }
+            }
+            for d in domains {
+                proptest::prop_assert_eq!(inc.frames_of(d), oracle.frames_of(d));
+            }
+            proptest::prop_assert_eq!(inc.free_frames(), oracle.free_frames());
         }
     }
 
