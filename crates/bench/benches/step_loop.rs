@@ -1,8 +1,8 @@
 //! Step-loop micro-benchmarks: the fast scheduler (`MemCtrl::step`,
 //! memoized per-bank scan + idle fast-forward) head-to-head against
-//! the pre-optimization reference linear scan, plus batched vs per-ACT
-//! disturbance accounting. The `step_loop` runner binary times the
-//! same scenarios end-to-end and records them in `BENCH_step_loop.json`.
+//! the pre-optimization reference linear scan, plus the device-level
+//! hammer burst. The `step_loop` runner binary times the same
+//! scenarios end-to-end and records them in `BENCH_step_loop.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hammertime_bench::step_loop::{
@@ -39,10 +39,7 @@ fn bench_t1_cells(c: &mut Criterion) {
 fn bench_hammer_burst(c: &mut Criterion) {
     let mut group = c.benchmark_group("step_loop/hammer_burst");
     group.throughput(Throughput::Elements(2_000));
-    for batched in [false, true] {
-        let name = if batched { "batched" } else { "per_act" };
-        group.bench_function(name, |b| b.iter(|| black_box(hammer_burst(2_000, batched))));
-    }
+    group.bench_function("per_command", |b| b.iter(|| black_box(hammer_burst(2_000))));
     group.finish();
 }
 

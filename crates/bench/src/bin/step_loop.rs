@@ -1,6 +1,6 @@
 //! Step-loop bench runner: times the fast scheduler against the
-//! reference linear scan (and batched vs per-ACT disturbance) on the
-//! shared scenarios from [`hammertime_bench::step_loop`], then writes
+//! reference linear scan (and telemetry on vs off) on the shared
+//! scenarios from [`hammertime_bench::step_loop`], then writes
 //! `BENCH_step_loop.json` seeding the perf trajectory.
 //!
 //! Usage: `step_loop [--quick] [--out PATH] [--only NAME]...
@@ -21,11 +21,13 @@
 //! gate.
 //!
 //! `--gate-disabled-overhead PCT` is the CI-safe guard that the
-//! disabled telemetry layer stays off the hot path: it times the
-//! hammer burst through the public issue path (tracer `None`, one
-//! `is_none()` check) against the same burst with the check compiled
-//! out, interleaving the reps so machine drift hits both sides, and
-//! exits nonzero if the disabled path is more than PCT% slower.
+//! disabled telemetry layer stays off the hot path: it times a
+//! per-command ACT/PRE hammer loop through `DramModule::issue` (the
+//! call the memory controller makes; tracer `None`, one `is_none()`
+//! check) against the same loop through `issue_bypassing_tracer`,
+//! which leaves the check out, interleaving the reps so machine drift
+//! hits both sides, and exits nonzero if the disabled path is more
+//! than PCT% slower.
 
 use hammertime_bench::step_loop::{
     drive_t1_cell, drive_t1_cell_shadowed, drive_t1_os_cell, fleet_sweep, fleet_sweep_durable,
@@ -349,52 +351,27 @@ fn main() {
         ));
     }
 
-    // Device-level hammer burst: batched vs per-ACT disturbance. The
-    // full-mode burst is sized so the timed region is tens of
-    // milliseconds — post-refactor the device clears 200k ACTs in a
-    // few ms, within scheduler-tick noise. Throughput comparisons are
-    // work-normalized, so resizing the burst keeps old baselines
-    // comparable.
+    // Device-level hammer burst, one `DramModule::issue` per command.
+    // The full-mode burst is sized so the timed region is tens of
+    // milliseconds or more, well above scheduler-tick noise.
+    // Throughput comparisons are work-normalized, so resizing the
+    // burst keeps old baselines comparable.
     let acts: u32 = if quick { 20_000 } else { 2_000_000 };
-    if run("hammer_burst") {
-        assert_eq!(
-            hammer_burst(acts.min(2_000), false),
-            hammer_burst(acts.min(2_000), true),
-            "batched flip count diverged"
-        );
-        let reference = time_best(reps, || {
-            hammer_burst(acts, false);
-        });
-        let fast = time_best(reps, || {
-            hammer_burst(acts, true);
-        });
-        eprintln!(
-            "hammer_burst: {acts} ACTs, per-ACT {reference:.3}s batched {fast:.3}s ({:.1}x)",
-            reference / fast
-        );
-        scenarios.push(scenario(
-            "hammer_burst",
-            "acts",
-            acts as u64,
-            reference,
-            fast,
-        ));
-    }
 
-    // Tracing overhead on the same burst: baseline records every
+    // Tracing overhead on the burst: baseline records every
     // command and flip into a buffer sink, optimized leaves the
     // tracer disabled (the production default).
     if run("hammer_burst_traced") {
         assert_eq!(
-            hammer_burst_with_tracer(acts.min(2_000), true, Some(Tracer::buffer())),
-            hammer_burst(acts.min(2_000), true),
+            hammer_burst_with_tracer(acts.min(2_000), Some(Tracer::buffer())),
+            hammer_burst(acts.min(2_000)),
             "traced flip count diverged"
         );
         let traced = time_best(reps, || {
-            hammer_burst_with_tracer(acts, true, Some(Tracer::buffer()));
+            hammer_burst_with_tracer(acts, Some(Tracer::buffer()));
         });
         let untraced = time_best(reps, || {
-            hammer_burst(acts, true);
+            hammer_burst(acts);
         });
         eprintln!(
             "hammer_burst_traced: {acts} ACTs, tracing on {traced:.3}s off {untraced:.3}s ({:.1}x overhead)",
@@ -458,16 +435,17 @@ fn main() {
         ));
     }
 
-    // Zero-cost-when-off gate: the telemetry-disabled issue path (one
-    // `is_none()` check) against the same burst with the check
-    // compiled out. Reps are interleaved so frequency drift hits both
-    // sides equally — unlike a cross-run absolute-throughput
-    // comparison, this ratio is stable on a noisy machine.
+    // Zero-cost-when-off gate: the per-command burst through
+    // `DramModule::issue` (telemetry disabled, one `is_none()` check)
+    // against the same burst through `issue_bypassing_tracer`, which
+    // leaves the check out. Reps are interleaved so frequency drift
+    // hits both sides equally — unlike a cross-run absolute-throughput
+    // comparison, this ratio is steadier on a noisy machine.
     let mut off_overhead_pct: Option<f64> = None;
     if run("telemetry_off") {
         assert_eq!(
-            hammer_burst_bypassing_tracer(acts.min(2_000), true),
-            hammer_burst(acts.min(2_000), true),
+            hammer_burst_bypassing_tracer(acts.min(2_000)),
+            hammer_burst(acts.min(2_000)),
             "bypass flip count diverged"
         );
         // Each rep times both sides back-to-back (alternating order)
@@ -481,17 +459,17 @@ fn main() {
         for rep in 0..9 {
             let (d, a) = if rep % 2 == 0 {
                 let t = Instant::now();
-                hammer_burst(gate_acts, true);
+                hammer_burst(gate_acts);
                 let d = t.elapsed().as_secs_f64();
                 let t = Instant::now();
-                hammer_burst_bypassing_tracer(gate_acts, true);
+                hammer_burst_bypassing_tracer(gate_acts);
                 (d, t.elapsed().as_secs_f64())
             } else {
                 let t = Instant::now();
-                hammer_burst_bypassing_tracer(gate_acts, true);
+                hammer_burst_bypassing_tracer(gate_acts);
                 let a = t.elapsed().as_secs_f64();
                 let t = Instant::now();
-                hammer_burst(gate_acts, true);
+                hammer_burst(gate_acts);
                 (t.elapsed().as_secs_f64(), a)
             };
             disabled = disabled.min(d);
@@ -503,7 +481,7 @@ fn main() {
         off_overhead_pct = Some(median_pct);
         eprintln!(
             "telemetry_off: {gate_acts} ACTs x9, disabled path best {disabled:.3}s, \
-             check compiled out best {absent:.3}s (median {median_pct:+.2}% overhead)"
+             check left out best {absent:.3}s (median {median_pct:+.2}% overhead)"
         );
         scenarios.push(scenario(
             "telemetry_off",

@@ -4,15 +4,18 @@
 //! `step_loop` runner binary (which seeds `BENCH_step_loop.json`)
 //! drive these exact workloads, so the numbers they report describe
 //! the same code paths: the memoized fast scheduler vs. the reference
-//! linear scan, and batched vs. per-ACT disturbance accounting.
+//! linear scan, and the device's issue path with telemetry on, off,
+//! and absent.
 
 use hammertime::experiments::{benign_machine, run_to_completion, FAST_MAC};
 use hammertime::machine::{Machine, MachineConfig};
 use hammertime::taxonomy::DefenseKind;
 use hammertime_check::ShadowChecker;
 use hammertime_common::geometry::BankId;
-use hammertime_common::{CacheLineAddr, Cycle, DetRng, DomainId, Geometry, RequestSource};
-use hammertime_dram::{DramConfig, DramModule, TimingParams, TrrConfig};
+use hammertime_common::{CacheLineAddr, Cycle, DetRng, DomainId, Geometry, RequestSource, Result};
+use hammertime_dram::{
+    CommandOutcome, DdrCommand, DramConfig, DramModule, TimingParams, TrrConfig,
+};
 use hammertime_fleet::{run_fleet, run_fleet_durable, FleetConfig, FleetReport, RunControl};
 use hammertime_memctrl::request::{MemRequest, RequestKind};
 use hammertime_memctrl::{McMitigationConfig, MemCtrl, MemCtrlConfig, PagePolicy};
@@ -63,35 +66,37 @@ pub fn idle_poll_on(mc: &mut MemCtrl, cycles: u64, fast: bool) -> u64 {
 }
 
 /// Single-row hammer burst at the device level: `acts` ACT/PRE pairs
-/// on one aggressor, then a sync. With `batched` accounting the burst
-/// costs O(1) log entries; per-ACT walks the blast radius every time.
-/// Returns the flip count (identical across modes by construction).
-pub fn hammer_burst(acts: u32, batched: bool) -> u64 {
-    hammer_burst_with_tracer(acts, batched, None)
+/// on one aggressor, each command issued through
+/// [`DramModule::issue`] at its earliest legal cycle, the call the
+/// memory controller makes. Returns the flip count.
+pub fn hammer_burst(acts: u32) -> u64 {
+    hammer_burst_with_tracer(acts, None)
 }
 
 /// [`hammer_burst`] with an optional tracer attached to the device —
 /// the scenario behind the tracing-overhead comparison: `None` takes
 /// the one-`is_none()`-check disabled path, `Some` pays for full
 /// command/flip recording.
-pub fn hammer_burst_with_tracer(acts: u32, batched: bool, tracer: Option<Tracer>) -> u64 {
-    hammer_burst_impl(acts, batched, tracer, false)
+pub fn hammer_burst_with_tracer(acts: u32, tracer: Option<Tracer>) -> u64 {
+    hammer_burst_via(acts, tracer, DramModule::issue)
 }
 
 /// [`hammer_burst`] issued through the tracer-check bypass — the
 /// "telemetry layer absent" baseline the zero-cost-when-off bench
 /// gate compares the disabled path against.
-pub fn hammer_burst_bypassing_tracer(acts: u32, batched: bool) -> u64 {
-    hammer_burst_impl(acts, batched, None, true)
+pub fn hammer_burst_bypassing_tracer(acts: u32) -> u64 {
+    hammer_burst_via(acts, None, DramModule::issue_bypassing_tracer)
 }
 
-fn hammer_burst_impl(acts: u32, batched: bool, tracer: Option<Tracer>, bypass: bool) -> u64 {
+fn hammer_burst_via(
+    acts: u32,
+    tracer: Option<Tracer>,
+    issue: impl Fn(&mut DramModule, &DdrCommand, Cycle) -> Result<CommandOutcome>,
+) -> u64 {
     let mut cfg = DramConfig::test_config(1_000_000);
-    // A wide blast radius is where the batching matters: per-ACT
-    // accounting walks 2 x radius victims on every activation, the
-    // batched log walks them once per run at the sync.
+    // A wide blast radius makes every ACT walk 12 victim rows, so the
+    // burst weighs the disturbance model as well as the timing checks.
     cfg.disturbance.blast_radius = 6;
-    cfg.batched_pressure = batched;
     cfg.tracer = tracer;
     let mut m = DramModule::new(cfg).unwrap();
     let bank = BankId {
@@ -100,20 +105,15 @@ fn hammer_burst_impl(acts: u32, batched: bool, tracer: Option<Tracer>, bypass: b
         bank_group: 0,
         bank: 0,
     };
-    // The burst entry point is state-identical to issuing the ACT/PRE
-    // pairs one command at a time (the device enforces this in its
-    // tests) but keeps the timing recurrence in registers — the
-    // hammer loop is a pure measure of device-model throughput, so it
-    // uses the fastest correct driving idiom. On a traced device it
-    // degrades to per-command issue internally, so the tracing
-    // scenarios still record every command.
-    let now = if bypass {
-        m.issue_hammer_pairs_bypassing_tracer(&bank, 8, acts, Cycle::ZERO)
-            .unwrap()
-    } else {
-        m.issue_hammer_pairs(&bank, 8, acts, Cycle::ZERO).unwrap()
-    };
-    m.sync_disturbances(now);
+    let act = DdrCommand::Act { bank, row: 8 };
+    let pre = DdrCommand::Pre { bank };
+    let mut now = Cycle::ZERO;
+    for _ in 0..acts {
+        for cmd in [&act, &pre] {
+            now = now.max(m.earliest(cmd));
+            issue(&mut m, cmd, now).unwrap();
+        }
+    }
     m.stats().flips
 }
 
@@ -429,15 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn hammer_burst_flip_counts_agree() {
-        assert_eq!(hammer_burst(500, false), hammer_burst(500, true));
-    }
-
-    #[test]
     fn traced_hammer_burst_flip_count_matches_untraced() {
         let tracer = Tracer::buffer();
-        let traced = hammer_burst_with_tracer(500, true, Some(tracer.clone()));
-        assert_eq!(traced, hammer_burst(500, true));
+        let traced = hammer_burst_with_tracer(500, Some(tracer.clone()));
+        assert_eq!(traced, hammer_burst(500));
         // The trace saw every ACT/PRE pair plus the recorded flips.
         let records = tracer.take_records();
         assert!(records.len() as u64 >= 1000 + traced);
@@ -445,10 +440,7 @@ mod tests {
 
     #[test]
     fn bypass_hammer_burst_flip_count_matches_issue_path() {
-        assert_eq!(
-            hammer_burst_bypassing_tracer(500, true),
-            hammer_burst(500, true)
-        );
+        assert_eq!(hammer_burst_bypassing_tracer(500), hammer_burst(500));
     }
 
     #[test]

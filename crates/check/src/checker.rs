@@ -139,10 +139,6 @@ struct CmdCounts {
 pub struct InvariantChecker {
     geometry: Geometry,
     timing: TimingParams,
-    /// Batched disturbance accounting changes flip *timing* (flips can
-    /// settle outside traced commands), so flip conservation is only
-    /// checked when off.
-    batched: bool,
     banks: Vec<BankShadow>,
     ranks: Vec<RankShadow>,
     channels: Vec<ChannelShadow>,
@@ -152,7 +148,7 @@ pub struct InvariantChecker {
 
 impl InvariantChecker {
     /// Creates a checker for a fresh (just reset) device.
-    pub fn new(geometry: Geometry, timing: TimingParams, batched: bool) -> InvariantChecker {
+    pub fn new(geometry: Geometry, timing: TimingParams) -> InvariantChecker {
         InvariantChecker {
             banks: (0..geometry.total_banks())
                 .map(|_| BankShadow::new())
@@ -170,7 +166,6 @@ impl InvariantChecker {
             violations: Vec::new(),
             geometry,
             timing,
-            batched,
         }
     }
 
@@ -587,7 +582,7 @@ impl InvariantChecker {
                 );
             }
         }
-        if !self.batched && self.counts.flips != stats.flips {
+        if self.counts.flips != stats.flips {
             self.push(
                 cycle,
                 Rule::FlipConservation,
@@ -702,7 +697,7 @@ mod tests {
 
     fn checker() -> InvariantChecker {
         // medium(): 1 channel, 1 rank, 2 bank groups × 2 banks.
-        InvariantChecker::new(Geometry::medium(), TimingParams::tiny_test(), false)
+        InvariantChecker::new(Geometry::medium(), TimingParams::tiny_test())
     }
 
     fn rules_of(c: &InvariantChecker) -> Vec<Rule> {
@@ -852,7 +847,7 @@ mod tests {
         assert!(rules_of(&c).contains(&Rule::TRrd));
 
         // 4 ACTs at 0,3,6,9 (legal spacing); 5th at 11 < 0 + tFAW = 12.
-        let mut c = InvariantChecker::new(Geometry::server(), TimingParams::tiny_test(), false);
+        let mut c = InvariantChecker::new(Geometry::server(), TimingParams::tiny_test());
         for (i, at) in [0u64, 3, 6, 9].into_iter().enumerate() {
             c.command(
                 Cycle(at),

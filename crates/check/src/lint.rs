@@ -84,11 +84,7 @@ pub fn lint_records(records: &[TraceRecord]) -> LintReport {
                 match serde_json::from_str::<DramConfig>(config_json) {
                     Ok(config) => {
                         segment = Some(Segment {
-                            checker: InvariantChecker::new(
-                                config.geometry,
-                                config.timing,
-                                config.batched_pressure,
-                            ),
+                            checker: InvariantChecker::new(config.geometry, config.timing),
                             end: Cycle(rec.cycle),
                             closed: false,
                         });
@@ -169,10 +165,11 @@ mod tests {
     use hammertime_telemetry::Tracer;
 
     /// Drives a real traced device through a legal command sequence and
-    /// returns the records — the ground-truth "clean trace" source.
+    /// returns the records — the ground-truth "clean trace" source. The
+    /// MAC of 2 makes the three ACTs of row 2 flip bits in rows 1 and 3.
     fn recorded_session() -> Vec<TraceRecord> {
         let tracer = Tracer::buffer();
-        let mut config = DramConfig::test_config(1_000_000);
+        let mut config = DramConfig::test_config(2);
         config.tracer = Some(tracer.clone());
         let bank = BankId {
             channel: 0,
@@ -202,6 +199,40 @@ mod tests {
             }
         }
         tracer.take_records()
+    }
+
+    #[test]
+    fn dropped_flip_breaks_flip_conservation() {
+        let mut records = recorded_session();
+        let report = lint_records(&records);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        let idx = records
+            .iter()
+            .position(|r| matches!(r.event, Event::Flip { .. }))
+            .expect("trace has flips");
+        records.remove(idx);
+        let report = lint_records(&records);
+        assert_eq!(report.rules_fired(), vec![Rule::FlipConservation]);
+        assert_eq!(Rule::FlipConservation.name(), "flip-conservation");
+    }
+
+    /// Traces recorded while `DramConfig` still had its batched-pressure
+    /// switch embed `false` for it in their `DeviceReset` config;
+    /// unknown fields are ignored, so they still lint.
+    #[test]
+    fn config_with_removed_batched_key_still_lints() {
+        const OLD_KEY: &str = r#""batched_pressure":false,"faults":"#;
+        let mut records = recorded_session();
+        for rec in &mut records {
+            if let Event::DeviceReset { config_json } = &mut rec.event {
+                let old = config_json.replace(r#""faults":"#, OLD_KEY);
+                assert_ne!(old, *config_json, "config_json has a faults key");
+                *config_json = old;
+            }
+        }
+        let report = lint_records(&records);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(report.devices, 1);
     }
 
     #[test]

@@ -137,11 +137,7 @@ impl Segment {
     }
 
     fn checker(&self) -> InvariantChecker {
-        InvariantChecker::new(
-            self.config.geometry,
-            self.config.timing,
-            self.config.batched_pressure,
-        )
+        InvariantChecker::new(self.config.geometry, self.config.timing)
     }
 
     /// Command records of the segment as `(record index, cycle, cmd)`.

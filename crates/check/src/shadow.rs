@@ -47,11 +47,7 @@ impl ShadowChecker {
     /// `DeviceReset` record a tracer would see.
     pub fn on_device_reset(&self, config: &DramConfig) {
         let mut inner = self.inner.lock().expect("shadow lock");
-        inner.checker = Some(InvariantChecker::new(
-            config.geometry,
-            config.timing,
-            config.batched_pressure,
-        ));
+        inner.checker = Some(InvariantChecker::new(config.geometry, config.timing));
     }
 
     /// Checks one successfully issued command.

@@ -186,6 +186,9 @@ mod tests {
         assert!((ns - 64_000_000.0).abs() < 1.0);
     }
 
+    // The panic is a `debug_assert!`, absent from builds without debug
+    // assertions (plain `--release`).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "delta from a later time")]
     fn delta_panics_on_reversed_order_in_debug() {

@@ -94,12 +94,6 @@ pub fn registry() -> Vec<&'static dyn Experiment> {
     ]
 }
 
-/// Convenience: run the entire suite (serially) and return the full
-/// report, tables in experiment order.
-pub fn run_all(quick: bool) -> Result<SuiteReport> {
-    run_all_with(&RunOptions::new(quick))
-}
-
 /// Runs the registry under the given options (parallelism, filter,
 /// fault plan, step budget).
 pub fn run_all_with(opts: &RunOptions) -> Result<SuiteReport> {

@@ -535,9 +535,6 @@ impl Machine {
             remap: cfg.remap,
             seed: cfg.seed ^ 0xD12A,
             ecc: cfg.ecc,
-            // Machine runs demand byte-identical flip logs across
-            // schedulers and job counts; keep per-ACT accounting.
-            batched_pressure: false,
             faults: cfg.faults,
             tracer: tracer.clone(),
         };

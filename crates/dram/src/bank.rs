@@ -16,8 +16,8 @@
 //! one contiguous column per field instead of striding over whole
 //! per-bank structs. [`Bank`] remains the per-bank view type for what
 //! is genuinely per-bank and cold: row disturbance bookkeeping
-//! ([`VictimState`]), activation counters, and the batched-pressure
-//! log. The module pairs column `b` of the SoA with `banks[b]`.
+//! ([`VictimState`]) and activation counters. The module pairs column
+//! `b` of the SoA with `banks[b]`.
 
 use crate::disturb::{DisturbanceProfile, PressureTable, VictimState};
 use crate::timing::TimingParams;
@@ -70,19 +70,16 @@ pub enum BankState {
 #[derive(Debug, Clone)]
 pub struct TimingSoA {
     /// Open internal row per bank; [`NO_OPEN_ROW`] when idle.
-    /// Crate-visible so the module's register-resident burst loop
-    /// ([`crate::module::DramModule::issue_hammer_pairs`]) can check
-    /// out a column and write it back without per-command indexing.
-    pub(crate) open_row: Vec<u32>,
+    open_row: Vec<u32>,
     /// When the open row's ACT issued (tRAS/tRC accounting).
-    pub(crate) opened_at: Vec<Cycle>,
+    opened_at: Vec<Cycle>,
     /// Earliest cycle an ACT may issue (tRP/tRC effects).
-    pub(crate) ready_act: Vec<Cycle>,
+    ready_act: Vec<Cycle>,
     /// Earliest cycle a PRE may issue (tRAS/tRTP/tWR effects).
-    pub(crate) ready_pre: Vec<Cycle>,
+    ready_pre: Vec<Cycle>,
     /// Earliest cycle a RD/WR may issue (tRCD effect); meaningful only
     /// while a row is open.
-    pub(crate) ready_rdwr: Vec<Cycle>,
+    ready_rdwr: Vec<Cycle>,
 }
 
 impl TimingSoA {
@@ -313,8 +310,8 @@ pub struct Disturbance {
 
 /// One bank's rows-and-disturbance view. Timing/FSM state lives in the
 /// module-owned [`TimingSoA`]; this type carries what is per-row or
-/// cold: victim pressure, activation counters, the batched-pressure
-/// log, and the counter-saturation fault.
+/// cold: victim pressure, activation counters, and the
+/// counter-saturation fault.
 #[derive(Debug, Clone)]
 pub struct Bank {
     rows: Vec<RowState>,
@@ -323,17 +320,6 @@ pub struct Bank {
     /// Precomputed `w(d)` weights (bit-exact with
     /// [`DisturbanceProfile::pressure_at`]).
     weights: PressureTable,
-    /// Opt-in deferred disturbance accounting (see
-    /// `DramConfig::batched_pressure`): ACTs append to `pending` in
-    /// O(1) and victims are settled at the next flush boundary.
-    batched: bool,
-    /// Run-length log of ACTs whose disturbance is not yet applied
-    /// (batched mode): `(aggressor row, consecutive ACT count)` in
-    /// issue order, so a flush replays aggressor interleavings exactly.
-    pending: Vec<(u32, u64)>,
-    /// Disturbances produced by a flush, awaiting flip sampling by the
-    /// module: `(aggressor row, disturbance)`.
-    flushed: Vec<(u32, Disturbance)>,
     /// Fault injection: ceiling at which `acts_since_refresh` saturates
     /// (0 = count accurately). Models a wedged per-row activation
     /// counter that undercounts sustained hammering.
@@ -350,26 +336,14 @@ pub struct Bank {
 
 impl Bank {
     /// Creates a bank view with `rows` rows organized in subarrays of
-    /// `rows_per_subarray`, disturbed according to `profile`. With
-    /// `batched` the per-ACT victim walk is deferred to flush
-    /// boundaries (refresh or an explicit flush) — an opt-in
-    /// approximation that makes an N-ACT burst cost O(unique aggressor
-    /// runs) instead of O(N x blast diameter).
-    pub fn new(
-        rows: u32,
-        rows_per_subarray: u32,
-        profile: DisturbanceProfile,
-        batched: bool,
-    ) -> Bank {
+    /// `rows_per_subarray`, disturbed according to `profile`.
+    pub fn new(rows: u32, rows_per_subarray: u32, profile: DisturbanceProfile) -> Bank {
         assert!(rows > 0 && rows_per_subarray > 0 && rows.is_multiple_of(rows_per_subarray));
         Bank {
             rows: vec![RowState::default(); rows as usize],
             rows_per_subarray,
             weights: PressureTable::new(&profile),
             profile,
-            batched,
-            pending: Vec::new(),
-            flushed: Vec::new(),
             act_saturation: 0,
             saturation_clamps: 0,
             acts: 0,
@@ -414,26 +388,12 @@ impl Bank {
     /// opportunities. The ACT also refreshes `row` itself (paper §2.1:
     /// "an ACT of a row also repairs the row as a side effect").
     ///
-    /// In batched mode the ACT is appended to the pending log instead
-    /// and the returned set is empty; victims settle at the next flush
-    /// boundary.
-    ///
     /// # Panics
     ///
     /// Panics if `row` is out of range (the module validates range
     /// before the FSM transition).
     pub fn record_act(&mut self, row: u32, now: Cycle) -> Vec<Disturbance> {
         self.acts += 1;
-
-        if self.batched {
-            // Defer the victim walk: extend the current run or open a
-            // new one. Per-row bookkeeping happens at flush, in order.
-            match self.pending.last_mut() {
-                Some((last, count)) if *last == row => *count += 1,
-                _ => self.pending.push((row, 1)),
-            }
-            return Vec::new();
-        }
 
         // The aggressor row itself is repaired by its own activation.
         let sat = self.act_saturation;
@@ -474,67 +434,6 @@ impl Bank {
         out
     }
 
-    /// Settles the pending ACT log (batched mode): replays each
-    /// aggressor run in issue order, applying `count x w(d)` pressure
-    /// per victim, and queues the resulting disturbances for
-    /// [`Bank::take_flushed`]. A run's aggregated pressure equals the
-    /// per-ACT sum exactly for dyadic decays (0.5, 1.0) and to within
-    /// FP rounding otherwise; flip opportunities and row refreshes are
-    /// stamped with the flush time rather than each ACT's own cycle.
-    ///
-    /// No-op when the log is empty (always, in non-batched mode).
-    pub fn flush_disturbances(&mut self, now: Cycle) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let profile = self.profile;
-        let pending = std::mem::take(&mut self.pending);
-        let sat = self.act_saturation;
-        for (row, count) in pending {
-            let rs = &mut self.rows[row as usize];
-            rs.victim.refresh(now);
-            rs.acts_since_refresh = rs.acts_since_refresh.saturating_add(count as u32);
-            if sat > 0 && rs.acts_since_refresh > sat {
-                self.saturation_clamps += u64::from(rs.acts_since_refresh - sat);
-                rs.acts_since_refresh = sat;
-            }
-            rs.total_acts += count;
-            let (lo, hi) = self.subarray_bounds(row);
-            for d in 1..=profile.blast_radius {
-                let w = self.weights.at(d) * count as f64;
-                for victim in [row.checked_sub(d), row.checked_add(d)]
-                    .into_iter()
-                    .flatten()
-                {
-                    if victim < lo || victim > hi {
-                        continue;
-                    }
-                    let fresh = self.rows[victim as usize].victim.add_pressure(w, &profile);
-                    if fresh > 0 {
-                        self.flushed.push((
-                            row,
-                            Disturbance {
-                                victim_row: victim,
-                                opportunities: fresh,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Takes the disturbances produced by flushes since the last call,
-    /// as `(aggressor row, disturbance)` pairs awaiting flip sampling.
-    pub fn take_flushed(&mut self) -> Vec<(u32, Disturbance)> {
-        std::mem::take(&mut self.flushed)
-    }
-
-    /// Whether the batched-pressure log has unsettled ACTs.
-    pub fn has_pending_disturbance(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Refreshes `row` in place (REF slot coverage, REF_NEIGHBORS, or
     /// the refresh instruction's ACT): clears its disturbance pressure
     /// and aggressor counter.
@@ -547,9 +446,6 @@ impl Bank {
     ///
     /// Panics if `row` is out of range.
     pub fn refresh_row(&mut self, row: u32, now: Cycle) {
-        // Pending ACTs happened before this refresh: settle them first
-        // so their pressure lands (and can flip) before the reset.
-        self.flush_disturbances(now);
         let rs = &mut self.rows[row as usize];
         rs.victim.refresh(now);
         rs.acts_since_refresh = 0;
@@ -605,7 +501,7 @@ mod tests {
     fn bank_with(profile: DisturbanceProfile) -> Harness {
         Harness {
             soa: TimingSoA::new(1),
-            bank: Bank::new(32, 16, profile, false),
+            bank: Bank::new(32, 16, profile),
         }
     }
 

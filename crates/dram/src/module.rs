@@ -59,16 +59,6 @@ pub struct DramConfig {
     pub seed: u64,
     /// ECC mode on the data path.
     pub ecc: EccMode,
-    /// Opt-in batched disturbance accounting: ACTs log `(aggressor,
-    /// count)` runs in O(1) and victims settle at flush boundaries
-    /// (refresh, RD/WR, [`DramModule::sync_disturbances`]), so an
-    /// N-ACT hammer burst costs O(unique aggressor runs) instead of
-    /// O(N x blast diameter). Aggregated pressure is bit-exact with
-    /// the per-ACT path for dyadic decays (0.5, 1.0) and within FP
-    /// rounding otherwise, but flip *timing* and RNG draw order differ
-    /// — leave this off (the default) whenever byte-identical output
-    /// matters.
-    pub batched_pressure: bool,
     /// Fault-injection plan for device-side faults (dropped/ghost REF,
     /// TRR sampler misses, counter saturation). `None` — the default —
     /// is byte-identical to a faultless device: no hook draws from any
@@ -101,7 +91,6 @@ impl DramConfig {
             remap: RemapConfig::identity(),
             seed: 42,
             ecc: EccMode::None,
-            batched_pressure: false,
             faults: None,
             tracer: None,
         }
@@ -241,12 +230,8 @@ impl DramModule {
         let faults = config.faults.map(|p| FaultClock::new(p, DRAM_FAULT_SALT));
         let banks: Vec<Bank> = (0..total_banks)
             .map(|_| {
-                let mut bank = Bank::new(
-                    g.rows_per_bank(),
-                    g.rows_per_subarray,
-                    config.disturbance,
-                    config.batched_pressure,
-                );
+                let mut bank =
+                    Bank::new(g.rows_per_bank(), g.rows_per_subarray, config.disturbance);
                 if let Some(p) = &config.faults {
                     bank.set_act_saturation(p.disturb_saturation);
                 }
@@ -446,8 +431,8 @@ impl DramModule {
         self.last_issue = self.last_issue.max(now);
         let tracer = self.config.tracer.clone().expect("tracer checked above");
         tracer.emit(now, Event::Command { cmd: cmd.into() });
-        // Flips this command generated (including batched settles it
-        // triggered) trail their command, in sampling order.
+        // Flips this command generated trail their command, in
+        // sampling order.
         for f in &self.flips[pre_flips..] {
             tracer.emit(
                 now,
@@ -460,336 +445,6 @@ impl DramModule {
             );
         }
         Ok(out)
-    }
-
-    /// Fused earliest + issue: computes the command's earliest-legal
-    /// cycle, clamps it up to `floor` (the caller's notion of "now"),
-    /// issues there, and returns the chosen cycle alongside the
-    /// outcome. Exactly equivalent to
-    /// `let at = dram.earliest(cmd).max(floor); dram.issue(cmd, at)`
-    /// but prices the timing state once instead of twice — the
-    /// difference is most of a hammer loop's budget, so tight drivers
-    /// (benches, device-level attack scripts) should prefer this
-    /// entry point.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Timing`] when the command is never legal in the
-    /// current state (`earliest` = [`Cycle::MAX`]);
-    /// [`Error::Protocol`] for illegal arguments, as with
-    /// [`DramModule::issue`].
-    #[inline]
-    pub fn issue_at_earliest(
-        &mut self,
-        cmd: &DdrCommand,
-        floor: Cycle,
-    ) -> Result<(Cycle, CommandOutcome)> {
-        if self.config.tracer.is_none() {
-            return self.issue_at_earliest_inner(cmd, floor);
-        }
-        let earliest = self.earliest(cmd);
-        if earliest == Cycle::MAX {
-            return Err(too_early(cmd, floor, Cycle::MAX));
-        }
-        let at = earliest.max(floor);
-        self.issue_traced(cmd, at).map(|out| (at, out))
-    }
-
-    /// [`DramModule::issue_at_earliest`] minus the tracer check; the
-    /// fused counterpart of [`DramModule::issue_bypassing_tracer`].
-    #[doc(hidden)]
-    #[inline]
-    pub fn issue_at_earliest_bypassing_tracer(
-        &mut self,
-        cmd: &DdrCommand,
-        floor: Cycle,
-    ) -> Result<(Cycle, CommandOutcome)> {
-        self.issue_at_earliest_inner(cmd, floor)
-    }
-
-    /// Issues `pairs` back-to-back ACT/PRE pairs hammering `row` of
-    /// `bank`, each command at its earliest legal cycle (≥ the running
-    /// clock, starting from `floor`). Returns the cycle of the final
-    /// PRE.
-    ///
-    /// State evolution is identical to calling
-    /// [`DramModule::issue_at_earliest`] with the ACT and PRE
-    /// alternately `2 × pairs` times — same stats, flips, TRR
-    /// observations, and timing columns — but the bank/rank timing
-    /// recurrence (tRC/tRAS/tRP plus the rank's tRRD/tFAW window)
-    /// lives in registers across the burst instead of round-tripping
-    /// through the SoA columns per command. A hammer loop is a serial
-    /// dependency chain through those columns, so keeping it in
-    /// registers is worth several× on the device's ACT throughput.
-    /// Traced devices take the per-command path so every command and
-    /// flip is still recorded in order.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Timing`] if the bank is active at entry (must PRE
-    /// first); [`Error::Protocol`] for an out-of-range row.
-    pub fn issue_hammer_pairs(
-        &mut self,
-        bank: &BankId,
-        row: u32,
-        pairs: u32,
-        floor: Cycle,
-    ) -> Result<Cycle> {
-        if self.config.tracer.is_none() {
-            return self.hammer_pairs_inner(bank, row, pairs, floor);
-        }
-        self.hammer_pairs_per_command(bank, row, pairs, floor)
-    }
-
-    /// [`DramModule::issue_hammer_pairs`] minus the tracer check; the
-    /// burst counterpart of [`DramModule::issue_bypassing_tracer`].
-    #[doc(hidden)]
-    pub fn issue_hammer_pairs_bypassing_tracer(
-        &mut self,
-        bank: &BankId,
-        row: u32,
-        pairs: u32,
-        floor: Cycle,
-    ) -> Result<Cycle> {
-        self.hammer_pairs_inner(bank, row, pairs, floor)
-    }
-
-    /// The traced burst path: per-command, so the tracer sees every
-    /// ACT/PRE and each flip trails its command.
-    #[cold]
-    fn hammer_pairs_per_command(
-        &mut self,
-        bank: &BankId,
-        row: u32,
-        pairs: u32,
-        mut now: Cycle,
-    ) -> Result<Cycle> {
-        let act = DdrCommand::Act { bank: *bank, row };
-        let pre = DdrCommand::Pre { bank: *bank };
-        for _ in 0..pairs {
-            now = self.issue_at_earliest(&act, now)?.0;
-            now = self.issue_at_earliest(&pre, now)?.0;
-        }
-        Ok(now)
-    }
-
-    /// The register-resident burst loop. The SoA column, the rank's
-    /// activation window, and the stats counters are checked out into
-    /// locals, the recurrence runs, and the final state is written
-    /// back — per-iteration memory traffic is only the disturbance
-    /// bookkeeping ([`Bank::record_act`]) and any sampled flips.
-    fn hammer_pairs_inner(
-        &mut self,
-        bank: &BankId,
-        row: u32,
-        pairs: u32,
-        floor: Cycle,
-    ) -> Result<Cycle> {
-        if pairs == 0 {
-            return Ok(floor);
-        }
-        let b = self.flat_bank(bank);
-        let r = self.rank_index(bank.channel, bank.rank);
-        let g = self.config.geometry;
-        if row >= g.rows_per_bank() {
-            return Err(Error::Protocol(format!(
-                "ACT row {row} out of range ({} rows/bank)",
-                g.rows_per_bank()
-            )));
-        }
-        if self.soa.is_active(b) {
-            return Err(too_early(
-                &DdrCommand::Act { bank: *bank, row },
-                floor,
-                Cycle::MAX,
-            ));
-        }
-        let internal = self.remaps[b].to_internal(row);
-        let t = self.config.timing;
-        let busy = self.ranks[r].busy_until;
-        let bg = bank.bank_group;
-        // Check out the recurrence state.
-        let mut ready_act = self.soa.ready_act[b];
-        let mut last_act = self.ranks[r].last_act;
-        let mut faw = self.ranks[r].faw;
-        let mut faw_head = self.ranks[r].faw_head;
-        let mut faw_len = self.ranks[r].faw_len;
-        let trr_on = self.trr.is_some();
-        let mut now = floor;
-        let mut at_act = floor;
-        for _ in 0..pairs {
-            // ACT at its earliest: the same maxes as `earliest()`.
-            at_act = ready_act.max(busy).max(now);
-            if let Some((when, last_bg)) = last_act {
-                let gap = if last_bg == bg { t.t_rrd_l } else { t.t_rrd_s };
-                at_act = at_act.max(when + gap);
-            }
-            if faw_len == 4 {
-                at_act = at_act.max(faw[faw_head as usize] + t.t_faw);
-                faw[faw_head as usize] = at_act;
-                faw_head = (faw_head + 1) & 3;
-            } else {
-                faw[((faw_head + faw_len) & 3) as usize] = at_act;
-                faw_len += 1;
-            }
-            last_act = Some((at_act, bg));
-            let disturbances = self.banks[b].record_act(internal, at_act);
-            if trr_on {
-                // Same fault hook as the per-command ACT arm; the
-                // tracer is off on this path, so a fired miss only
-                // skips the observation.
-                let missed = self
-                    .faults
-                    .as_mut()
-                    .is_some_and(|fc| fc.fire(FaultKind::TrrSamplerMiss));
-                if !missed {
-                    if let Some(trr) = &mut self.trr {
-                        trr.observe_act(b, internal);
-                    }
-                }
-            }
-            if !disturbances.is_empty() {
-                self.sample_flips_of(b, at_act, internal, &disturbances);
-            }
-            // PRE at its earliest: ready_pre = at_act + tRAS ≥ at_act.
-            let at_pre = (at_act + t.t_ras).max(busy);
-            ready_act = (at_pre + t.t_rp).max(at_act + t.t_rc);
-            now = at_pre;
-        }
-        // Write back: the burst ends precharged, with the same column
-        // values a per-command loop would have left.
-        self.soa.open_row[b] = crate::bank::NO_OPEN_ROW;
-        self.soa.opened_at[b] = at_act;
-        self.soa.ready_act[b] = ready_act;
-        self.soa.ready_pre[b] = at_act + t.t_ras;
-        self.soa.ready_rdwr[b] = at_act + t.t_rcd;
-        let rank = &mut self.ranks[r];
-        rank.last_act = last_act;
-        rank.faw = faw;
-        rank.faw_head = faw_head;
-        rank.faw_len = faw_len;
-        self.stats.acts += u64::from(pairs);
-        self.stats.pres += u64::from(pairs);
-        self.banks[b].pres += u64::from(pairs);
-        Ok(now)
-    }
-
-    /// The fused fast path: ACT and PRE (the hammer-loop hot pair)
-    /// reuse the per-arm earliest they just computed as the issue
-    /// cycle; every other command class falls back to the probe +
-    /// issue pair.
-    #[inline]
-    fn issue_at_earliest_inner(
-        &mut self,
-        cmd: &DdrCommand,
-        floor: Cycle,
-    ) -> Result<(Cycle, CommandOutcome)> {
-        match *cmd {
-            DdrCommand::Act { bank, row } => {
-                let b = self.flat_bank(&bank);
-                let r = self.rank_index(bank.channel, bank.rank);
-                let earliest = self
-                    .soa
-                    .earliest_act(b)
-                    .max(self.ranks[r].earliest_act(bank.bank_group, &self.config.timing));
-                if earliest == Cycle::MAX {
-                    return Err(too_early(cmd, floor, Cycle::MAX));
-                }
-                let at = earliest.max(floor);
-                self.act_body(bank, row, b, r, at).map(|out| (at, out))
-            }
-            DdrCommand::Pre { bank } => {
-                let b = self.flat_bank(&bank);
-                let r = self.rank_index(bank.channel, bank.rank);
-                let at = self
-                    .soa
-                    .earliest_pre(b)
-                    .max(self.ranks[r].busy_until)
-                    .max(floor);
-                Ok((at, self.pre_body(b, at)))
-            }
-            _ => {
-                let earliest = self.earliest(cmd);
-                if earliest == Cycle::MAX {
-                    return Err(too_early(cmd, floor, Cycle::MAX));
-                }
-                let at = earliest.max(floor);
-                self.issue_inner(cmd, at).map(|out| (at, out))
-            }
-        }
-    }
-
-    /// The ACT state transition, after the caller has gated `now`
-    /// against the ACT earliest for flat bank `b` / rank `r`.
-    #[inline]
-    fn act_body(
-        &mut self,
-        bank: BankId,
-        row: u32,
-        b: usize,
-        r: usize,
-        now: Cycle,
-    ) -> Result<CommandOutcome> {
-        let g = self.config.geometry;
-        if row >= g.rows_per_bank() {
-            return Err(Error::Protocol(format!(
-                "ACT row {row} out of range ({} rows/bank)",
-                g.rows_per_bank()
-            )));
-        }
-        let internal = self.remaps[b].to_internal(row);
-        self.soa
-            .act(b, internal, now, &self.config.timing)
-            .expect("gated on earliest_act");
-        let disturbances = self.banks[b].record_act(internal, now);
-        self.ranks[r].record_act(now, bank.bank_group);
-        self.stats.acts += 1;
-        if let Some(trr) = &mut self.trr {
-            // Fault hook: a blackbox sampler sometimes misses
-            // the ACT entirely (what TRRespass patterns bank on).
-            let missed = self
-                .faults
-                .as_mut()
-                .is_some_and(|fc| fc.fire(FaultKind::TrrSamplerMiss));
-            if !missed {
-                trr.observe_act(b, internal);
-            } else if let Some(tracer) = &self.config.tracer {
-                tracer.emit(
-                    now,
-                    Event::FaultInjected {
-                        kind: FaultKind::TrrSamplerMiss.name().into(),
-                    },
-                );
-            }
-        }
-        let flips_generated = if disturbances.is_empty() {
-            0
-        } else {
-            self.sample_flips_of(b, now, internal, &disturbances)
-        };
-        Ok(CommandOutcome {
-            done: now,
-            flips_generated,
-        })
-    }
-
-    /// The PRE state transition, after the caller has gated `now`
-    /// against the PRE earliest for flat bank `b`. Infallible: PRE on
-    /// an idle bank is a counted no-op.
-    #[inline]
-    fn pre_body(&mut self, b: usize, now: Cycle) -> CommandOutcome {
-        if self
-            .soa
-            .pre(b, now, &self.config.timing)
-            .expect("gated on earliest_pre")
-        {
-            self.banks[b].pres += 1;
-        }
-        self.stats.pres += 1;
-        CommandOutcome {
-            done: now,
-            flips_generated: 0,
-        }
     }
 
     /// The untraced issue path; all device state changes live here.
@@ -811,7 +466,47 @@ impl DramModule {
                 if now < earliest {
                     return Err(too_early(cmd, now, earliest));
                 }
-                self.act_body(bank, row, b, r, now)
+                let g = self.config.geometry;
+                if row >= g.rows_per_bank() {
+                    return Err(Error::Protocol(format!(
+                        "ACT row {row} out of range ({} rows/bank)",
+                        g.rows_per_bank()
+                    )));
+                }
+                let internal = self.remaps[b].to_internal(row);
+                self.soa
+                    .act(b, internal, now, &self.config.timing)
+                    .expect("gated on earliest_act");
+                let disturbances = self.banks[b].record_act(internal, now);
+                self.ranks[r].record_act(now, bank.bank_group);
+                self.stats.acts += 1;
+                if let Some(trr) = &mut self.trr {
+                    // Fault hook: a blackbox sampler sometimes misses
+                    // the ACT entirely (what TRRespass patterns bank on).
+                    let missed = self
+                        .faults
+                        .as_mut()
+                        .is_some_and(|fc| fc.fire(FaultKind::TrrSamplerMiss));
+                    if !missed {
+                        trr.observe_act(b, internal);
+                    } else if let Some(tracer) = &self.config.tracer {
+                        tracer.emit(
+                            now,
+                            Event::FaultInjected {
+                                kind: FaultKind::TrrSamplerMiss.name().into(),
+                            },
+                        );
+                    }
+                }
+                let flips_generated = if disturbances.is_empty() {
+                    0
+                } else {
+                    self.sample_flips(b, now, internal, &disturbances)
+                };
+                Ok(CommandOutcome {
+                    done: now,
+                    flips_generated,
+                })
             }
             DdrCommand::Pre { bank } => {
                 let b = self.flat_bank(&bank);
@@ -820,7 +515,18 @@ impl DramModule {
                 if now < earliest {
                     return Err(too_early(cmd, now, earliest));
                 }
-                Ok(self.pre_body(b, now))
+                if self
+                    .soa
+                    .pre(b, now, &self.config.timing)
+                    .expect("gated on earliest_pre")
+                {
+                    self.banks[b].pres += 1;
+                }
+                self.stats.pres += 1;
+                Ok(CommandOutcome {
+                    done: now,
+                    flips_generated: 0,
+                })
             }
             DdrCommand::PreAll { channel, rank } => {
                 let r = self.rank_index(channel, rank);
@@ -858,9 +564,6 @@ impl DramModule {
                 if col >= self.config.geometry.columns {
                     return Err(Error::Protocol(format!("RD col {col} out of range")));
                 }
-                // A read observes data: settle deferred disturbance so
-                // its poison is in place before the burst.
-                self.settle_bank(b, now);
                 let t = &self.config.timing;
                 let (_, done) = self
                     .soa
@@ -889,7 +592,6 @@ impl DramModule {
                 if col >= self.config.geometry.columns {
                     return Err(Error::Protocol(format!("WR col {col} out of range")));
                 }
-                self.settle_bank(b, now);
                 let t = &self.config.timing;
                 let (_, done) = self
                     .soa
@@ -955,9 +657,6 @@ impl DramModule {
                     }
                 }
                 for &b in &banks {
-                    // Pending ACTs precede this REF: settle (and flip)
-                    // before the covered rows reset.
-                    self.settle_bank(b, now);
                     if !dropped {
                         for internal in lo..hi {
                             self.banks[b].refresh_row(internal, now);
@@ -1017,7 +716,6 @@ impl DramModule {
                     return Err(Error::Protocol(format!("REFN row {row} out of range")));
                 }
                 let internal = self.remaps[b].to_internal(row);
-                self.settle_bank(b, now);
                 let victims = self.banks[b].neighbors_within(internal, radius);
                 // Each refreshed row costs one internal row cycle.
                 let done = now + self.config.timing.t_rc * victims.len().max(1) as u64;
@@ -1156,40 +854,11 @@ impl DramModule {
             .map(|internal| self.remaps[b].to_logical(internal))
     }
 
-    /// Draws bit flips for a batch of disturbances in `(internal
-    /// aggressor row, disturbance)` form: one Bernoulli(`flip_prob`)
-    /// draw per opportunity, poisoning the data store and recording a
+    /// Draws bit flips for one ACT's disturbances (internal
+    /// `aggressor` row): one Bernoulli(`flip_prob`) draw per
+    /// opportunity, poisoning the data store and recording a
     /// [`FlipEvent`] (logical coordinates) per flip.
-    fn sample_flips(&mut self, b: usize, now: Cycle, disturbances: Vec<(u32, Disturbance)>) -> u32 {
-        let profile = self.config.disturbance;
-        let row_bits = self.config.geometry.row_bytes() * 8;
-        let mut flips_generated = 0;
-        for (aggressor, d) in disturbances {
-            for _ in 0..d.opportunities {
-                if self.rng.chance(profile.flip_prob) {
-                    let bit = self.rng.below(row_bits);
-                    self.data.flip_bit((b, d.victim_row), bit);
-                    self.stats.flips += 1;
-                    flips_generated += 1;
-                    self.flips.push(FlipEvent {
-                        time: now,
-                        flat_bank: b,
-                        victim_row: self.remaps[b].to_logical(d.victim_row),
-                        aggressor_row: self.remaps[b].to_logical(aggressor),
-                        bit,
-                        victim_domain: None,
-                        aggressor_domain: None,
-                    });
-                }
-            }
-        }
-        flips_generated
-    }
-
-    /// [`DramModule::sample_flips`] specialized for one ACT's
-    /// disturbances (a single internal `aggressor` row): identical RNG
-    /// draw order, no intermediate pair vector.
-    fn sample_flips_of(
+    fn sample_flips(
         &mut self,
         b: usize,
         now: Cycle,
@@ -1219,31 +888,6 @@ impl DramModule {
             }
         }
         flips_generated
-    }
-
-    /// Settles one bank's deferred disturbance (batched mode): flushes
-    /// its pending ACT log and samples flips for the result. No-op in
-    /// the default per-ACT mode.
-    fn settle_bank(&mut self, b: usize, now: Cycle) {
-        if !self.config.batched_pressure {
-            return;
-        }
-        self.banks[b].flush_disturbances(now);
-        let flushed = self.banks[b].take_flushed();
-        if !flushed.is_empty() {
-            self.sample_flips(b, now, flushed);
-        }
-    }
-
-    /// Settles deferred disturbance in every bank (batched mode): all
-    /// pending aggressor runs are applied and their flips sampled as
-    /// of `now`. Call before inspecting white-box state
-    /// ([`DramModule::row_pressure`], [`DramModule::drain_flips`],
-    /// data reads) when `batched_pressure` is on; a no-op otherwise.
-    pub fn sync_disturbances(&mut self, now: Cycle) {
-        for b in 0..self.banks.len() {
-            self.settle_bank(b, now);
-        }
     }
 
     /// One-probe scheduler snapshot of a bank: the open row plus the
@@ -1333,67 +977,6 @@ mod tests {
 
     fn module(mac: u64) -> DramModule {
         DramModule::new(DramConfig::test_config(mac)).unwrap()
-    }
-
-    /// The burst entry point must be state-identical to the
-    /// per-command loop it fuses: same clock, stats, flips, RNG
-    /// stream position, and timing columns — with and without TRR,
-    /// in both disturbance-accounting modes.
-    #[test]
-    fn hammer_pairs_burst_matches_per_command_loop() {
-        for batched in [false, true] {
-            for trr in [false, true] {
-                let mut cfg = DramConfig::test_config(600);
-                cfg.disturbance.blast_radius = 3;
-                cfg.batched_pressure = batched;
-                if trr {
-                    cfg.trr = Some(TrrConfig::vendor_default());
-                }
-                let mut per_cmd = DramModule::new(cfg.clone()).unwrap();
-                let mut burst = DramModule::new(cfg).unwrap();
-                let bank = bank0();
-                let act = DdrCommand::Act { bank, row: 8 };
-                let pre = DdrCommand::Pre { bank };
-                let mut now = Cycle(5);
-                for _ in 0..500 {
-                    now = per_cmd.issue_at_earliest(&act, now).unwrap().0;
-                    now = per_cmd.issue_at_earliest(&pre, now).unwrap().0;
-                }
-                let end = burst.issue_hammer_pairs(&bank, 8, 500, Cycle(5)).unwrap();
-                assert_eq!(end, now, "batched={batched} trr={trr}");
-                per_cmd.sync_disturbances(now);
-                burst.sync_disturbances(end);
-                assert_eq!(
-                    per_cmd.stats(),
-                    burst.stats(),
-                    "batched={batched} trr={trr}"
-                );
-                assert_eq!(per_cmd.bank_timing(&bank), burst.bank_timing(&bank));
-                assert_eq!(per_cmd.drain_flips(), burst.drain_flips());
-                // The next ACT lands on the same cycle on both — the
-                // written-back columns and rank window agree.
-                assert_eq!(per_cmd.earliest(&act), burst.earliest(&act));
-            }
-        }
-    }
-
-    #[test]
-    fn hammer_pairs_rejects_open_bank_and_bad_row() {
-        let mut m = module(1_000_000);
-        let g = m.config().geometry;
-        assert!(matches!(
-            m.issue_hammer_pairs(&bank0(), g.rows_per_bank(), 1, Cycle::ZERO),
-            Err(Error::Protocol(_))
-        ));
-        let act = DdrCommand::Act {
-            bank: bank0(),
-            row: 1,
-        };
-        m.issue(&act, Cycle::ZERO).unwrap();
-        assert!(matches!(
-            m.issue_hammer_pairs(&bank0(), 1, 1, Cycle::ZERO),
-            Err(Error::Timing(_))
-        ));
     }
 
     /// Open/close a row repeatedly, respecting timing.

@@ -250,6 +250,25 @@ mod tests {
         assert!(summary.flips > 0);
     }
 
+    /// Traces recorded while `DramConfig` still had its batched-pressure
+    /// switch embed `false` for it in their `DeviceReset` config.
+    /// Unknown fields are ignored on load, so such a trace still
+    /// rebuilds the device and replays.
+    #[test]
+    fn config_with_removed_batched_key_replays() {
+        const OLD_KEY: &str = r#""batched_pressure":false,"faults":"#;
+        let mut trace = record(DramConfig::test_config(10));
+        let expected = replay_records(&trace).unwrap();
+        let Event::DeviceReset { config_json } = &mut trace[0].event else {
+            panic!("trace opens with a device reset");
+        };
+        let old = config_json.replace(r#""faults":"#, OLD_KEY);
+        assert_ne!(old, *config_json, "config_json has a faults key");
+        *config_json = old;
+        assert_eq!(replay_records(&trace).unwrap(), expected);
+        assert!(expected.flips > 0);
+    }
+
     #[test]
     fn faulted_recording_replays_exactly() {
         let mut cfg = DramConfig::test_config(10);

@@ -87,7 +87,7 @@ proptest! {
     fn bank_earliest_is_always_legal(ops in prop::collection::vec(0u8..4, 1..80), seed in any::<u64>()) {
         let t = TimingParams::tiny_test();
         let mut soa = TimingSoA::new(1);
-        let mut bank = Bank::new(64, 16, profile(1_000_000), false);
+        let mut bank = Bank::new(64, 16, profile(1_000_000));
         let mut rng = DetRng::new(seed);
         let mut now = Cycle::ZERO;
         for op in ops {

@@ -119,9 +119,8 @@ pub enum Event {
         /// The command, as seen on the bus.
         cmd: CmdEvent,
     },
-    /// Disturbance flipped a bit. Emitted at the ACT (or batched
-    /// settle) that sampled the flip, immediately after its
-    /// [`Event::Command`].
+    /// Disturbance flipped a bit. Emitted at the ACT that sampled the
+    /// flip, immediately after its [`Event::Command`].
     Flip {
         /// Flat bank index of the victim.
         flat_bank: u64,
